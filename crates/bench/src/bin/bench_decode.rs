@@ -12,11 +12,10 @@
 //! at batch 16 against the sequential seed engine on the same model/scheme.
 //!
 //! Beyond the `optimized-{1,4}t` rows (the default `StepMode::Auto`
-//! dispatch), each case also measures `pool-4t` vs `scoped-4t` — forced
-//! fan-out through the persistent worker pool vs the old per-step
-//! `std::thread::scope` spawns — so the JSON prices the dispatch overhead
-//! the pool removes even on hosts where `Auto` correctly stays serial. A
-//! separate `mxopal_encode` section times the MX-OPAL row round trip,
+//! dispatch), each case also measures `pool-4t` — forced fan-out through
+//! the persistent worker pool — so the JSON prices the dispatch overhead
+//! even on hosts where `Auto` correctly stays serial. A separate
+//! `mxopal_encode` section times the MX-OPAL row round trip,
 //! allocating API vs the reusable-scratch path the decode loop uses.
 //!
 //! The `prefill_admission` section measures the fused multi-token prefill
@@ -228,14 +227,12 @@ fn bench_case(
             decode_tok_s: dec,
         });
         // `optimized-{1,4}t` is the deployment configuration (Auto decides
-        // whether fanning out can pay); `pool-4t`/`scoped-4t` force the two
-        // dispatchers so their fixed overhead is visible no matter the
-        // host's core count.
-        let engines: [(&str, usize, StepMode); 4] = [
+        // whether fanning out can pay); `pool-4t` forces the pool so its
+        // fixed overhead is visible no matter the host's core count.
+        let engines: [(&str, usize, StepMode); 3] = [
             ("optimized-1t", 1, StepMode::Auto),
             ("optimized-4t", 4, StepMode::Auto),
             ("pool-4t", 4, StepMode::ForcePool),
-            ("scoped-4t", 4, StepMode::ForceScoped),
         ];
         // On a single-core host every Auto configuration is the same
         // execution by construction — the cores gate serializes decode and
@@ -1277,7 +1274,6 @@ fn main() {
     println!();
     let mut headline = f64::NAN;
     let mut speedup_lines = Vec::new();
-    let mut pool_lines = Vec::new();
     for (model, scheme) in [
         ("tiny", "bf16"),
         ("tiny", "mxopal_w4a47"),
@@ -1299,19 +1295,6 @@ fn main() {
         speedup_lines.push(format!(
             "    {{ \"model\": \"{model}\", \"scheme\": \"{scheme}\", \
              \"optimized_4t\": {s4:.3}, \"optimized_1t\": {s1:.3} }}"
-        ));
-        let pool = speedup(model, scheme, 16, "pool-4t");
-        let scoped = speedup(model, scheme, 16, "scoped-4t");
-        println!(
-            "batch-16 forced 4-thread dispatch [{model}/{scheme}]: pool {pool:.2}x, \
-             scoped {scoped:.2}x vs seed ({:.2}x pool over scoped)",
-            pool / scoped
-        );
-        pool_lines.push(format!(
-            "    {{ \"model\": \"{model}\", \"scheme\": \"{scheme}\", \
-             \"pool_4t\": {pool:.3}, \"scoped_4t\": {scoped:.3}, \
-             \"pool_over_scoped\": {:.3} }}",
-            pool / scoped
         ));
     }
 
@@ -1582,7 +1565,6 @@ fn main() {
          \"scheme\": \"bf16\", \"speedup\": {headline:.3} }},"
     );
     let _ = writeln!(json, "  \"batch16_speedups\": [\n{}\n  ],", speedup_lines.join(",\n"));
-    let _ = writeln!(json, "  \"batch16_pool_vs_scoped\": [\n{}\n  ],", pool_lines.join(",\n"));
     let encode_json: Vec<String> = encode_rows
         .iter()
         .map(|r| {

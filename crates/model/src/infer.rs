@@ -49,7 +49,7 @@ impl Site {
 
 /// Observer of intermediate activations during decoding.
 pub trait Recorder {
-    /// Called once per site per decoded token with the (unquantized)
+    /// Called once per site per token position with the (unquantized)
     /// activation vector.
     fn record(&mut self, layer: usize, site: Site, x: &[f32]);
 }
@@ -144,13 +144,14 @@ pub(crate) struct ReadyLayer {
 }
 
 /// Which logits a fused multi-row pass materializes: none (mid-prompt
-/// prefill), the final row's (a prompt's last chunk), or every row's into
-/// a caller matrix (the speculative verify pass).
+/// prefill), the final row's (a decode step or a prompt's last chunk), or
+/// every row's into a caller matrix (the speculative verify pass).
 enum LogitsOut<'a> {
     None,
     /// `keep_scratch` distinguishes a prompt's final chunk (drop the
-    /// chunk-sized buffers, the prompt is consumed) from a speculative
-    /// draft's per-step catch-up chunk (keep them — it runs every step).
+    /// chunk-sized buffers, the prompt is consumed) from passes that recur
+    /// every step — a decode step or a speculative draft's catch-up chunk
+    /// (keep them).
     Last {
         keep_scratch: bool,
     },
@@ -174,98 +175,74 @@ fn ensure_shape(m: &mut Matrix, rows: usize, cols: usize) {
     *m = Matrix::from_vec(rows, cols, data);
 }
 
-/// Reusable multi-row buffers of the fused prefill path: one row per prompt
-/// position of the chunk in flight.
+/// Reports every row of `m` to the recorder, if any, at `(layer, site)`.
+fn record_rows(recorder: &mut Option<&mut dyn Recorder>, layer: usize, site: Site, m: &Matrix) {
+    if let Some(rec) = recorder {
+        for r in 0..m.rows() {
+            rec.record(layer, site, m.row(r));
+        }
+    }
+}
+
+/// Reusable multi-row buffers of the fused layer pass: one row per token
+/// position in flight (the chunk of a prompt, the rows of a verify pass,
+/// or the single row of a decode step).
 ///
-/// [`Model::prefill_chunk`] pushes a whole block of prompt positions
-/// through each layer in one pass — norm rows, one GEMM per projection,
-/// multi-row causal attention against the paged KV cache — and every
-/// intermediate lands here. Buffers are reshaped (never reallocated, once
-/// grown) to the live chunk length at the start of each pass, so steady
-/// chunked prefill allocates nothing, mirroring the single-token
-/// [`ScratchSpace`] discipline — and the whole workspace is dropped again
-/// by the chunk that computes the prompt logits, so a decoding sequence
-/// carries no prefill buffers for the rest of its life.
+/// [`Model::prefill_core`] pushes a whole block of positions through each
+/// layer in one pass — norm rows, one GEMM per projection, multi-row
+/// causal attention against the paged KV cache — and every intermediate
+/// lands here. Buffers are reshaped (never reallocated, once grown) to the
+/// live row count at the start of each pass, so steady decode and chunked
+/// prefill allocate nothing. The chunk that computes a prompt's logits
+/// drops the whole workspace again, so a decoding sequence carries only
+/// the 1-row buffers its decode steps regrow.
 #[derive(Debug, Default)]
-struct PrefillScratch {
-    /// Residual streams, `chunk × d_model`.
+struct RowScratch {
+    /// Residual streams, `rows × d_model`.
     hs: Matrix,
-    /// Norm outputs feeding QKV or FC1, `chunk × d_model`.
+    /// Norm outputs feeding QKV or FC1, `rows × d_model`.
     xs: Matrix,
-    /// Quantized norm outputs, `chunk × d_model`.
+    /// Quantized norm outputs, `rows × d_model`.
     xqs: Matrix,
-    /// Query projections (pre-quantization), `chunk × d_model`.
+    /// Query projections (pre-quantization), `rows × d_model`.
     qs: Matrix,
-    /// Key projections (pre-quantization), `chunk × d_model`.
+    /// Key projections (pre-quantization), `rows × d_model`.
     ks: Matrix,
-    /// Value projections (pre-quantization), `chunk × d_model`.
+    /// Value projections (pre-quantization), `rows × d_model`.
     vs: Matrix,
-    /// Quantized queries, `chunk × d_model`.
+    /// Quantized queries, `rows × d_model`.
     qqs: Matrix,
-    /// Attention contexts, `chunk × d_model`.
+    /// Attention contexts, `rows × d_model`.
     ctxs: Matrix,
-    /// Quantized contexts, `chunk × d_model`.
+    /// Quantized contexts, `rows × d_model`.
     ctxqs: Matrix,
     /// Output of the attention and FFN down projections (used one after
-    /// the other), `chunk × d_model`.
+    /// the other), `rows × d_model`.
     proj: Matrix,
-    /// FFN gate/activation buffer, `chunk × d_ff`.
+    /// FFN gate/activation buffer, `rows × d_ff`.
     gates: Matrix,
-    /// FFN up-projections, `chunk × d_ff`.
+    /// FFN up-projections, `rows × d_ff`.
     ups: Matrix,
-    /// Quantized FFN activations, `chunk × d_ff`.
+    /// Quantized FFN activations, `rows × d_ff`.
     act_qs: Matrix,
-    /// Attention scores for one head, `chunk × seq` (row `r` uses its
+    /// Attention scores for one head, `rows × seq` (row `r` uses its
     /// causal prefix `lens[r]`).
     scores: Matrix,
-    /// Attention weights for one head, `chunk × seq` (causal prefixes).
+    /// Attention weights for one head, `rows × seq` (causal prefixes).
     weights: Matrix,
     /// Causal row lengths: `lens[r] = pos0 + r + 1`.
     lens: Vec<usize>,
 }
 
-/// Reusable per-sequence buffers for the token decode hot path.
+/// Reusable per-sequence buffers of the decode hot path.
 ///
-/// Every intermediate of a decode step — q/k/v projections, attention
-/// scores and weights, context, FFN activations, norm outputs and the
-/// vocab-sized logits — writes into these buffers, so a steady-state decode
-/// step performs no heap allocation (the paged KV cache allocates one
-/// recycled block per [`BlockPool::block_size`] positions, and
-/// `scores`/`weights` stop growing once they reach the sequence length).
+/// Every intermediate of a layer pass writes into these buffers, so a
+/// steady-state decode step performs no heap allocation (the paged KV
+/// cache allocates one recycled block per [`BlockPool::block_size`]
+/// positions, and the score rows stop growing once they reach the
+/// sequence length).
 #[derive(Debug)]
 struct ScratchSpace {
-    /// Residual stream, `d_model`.
-    h: Vec<f32>,
-    /// Norm output feeding QKV or FC1, `d_model`.
-    x: Vec<f32>,
-    /// Quantized norm output, `d_model`.
-    xq: Vec<f32>,
-    /// Query projection (pre-quantization), `d_model`.
-    q: Vec<f32>,
-    /// Key projection (pre-quantization), `d_model`.
-    k: Vec<f32>,
-    /// Value projection (pre-quantization), `d_model`.
-    v: Vec<f32>,
-    /// Quantized query, `d_model`.
-    qq: Vec<f32>,
-    /// Attention context, `d_model`.
-    ctx: Vec<f32>,
-    /// Quantized context, `d_model`.
-    ctxq: Vec<f32>,
-    /// Attention output projection, `d_model`.
-    attn_out: Vec<f32>,
-    /// Attention scores for one head, grows to the sequence length.
-    scores: Vec<f32>,
-    /// Attention weights for one head, grows to the sequence length.
-    weights: Vec<f32>,
-    /// FFN gate/activation buffer, `d_ff`.
-    gate: Vec<f32>,
-    /// FFN up-projection, `d_ff`.
-    up: Vec<f32>,
-    /// Quantized FFN activation, `d_ff`.
-    act_q: Vec<f32>,
-    /// FFN down-projection, `d_model`.
-    down: Vec<f32>,
     /// Final-norm output, `d_model`.
     hn: Vec<f32>,
     /// Next-token logits, `vocab`.
@@ -273,39 +250,20 @@ struct ScratchSpace {
     /// Quantizer encode workspace (block plans, sort buffers) for the
     /// tensor-global formats; block-local formats ignore it. Owned per
     /// sequence like every other scratch buffer — and shared across the
-    /// rows of a prefill chunk — so quantized decode *and* chunked prefill
-    /// stay allocation-free and thread-isolated.
+    /// rows of a pass — so quantized decode and chunked prefill stay
+    /// allocation-free and thread-isolated.
     quant: EncodeScratch,
-    /// Multi-row buffers of the fused prefill path (empty until the first
-    /// [`Model::prefill_chunk`], unused by single-token decoding).
-    prefill: PrefillScratch,
+    /// Multi-row buffers of the layer pass (empty until the first pass).
+    rows: RowScratch,
 }
 
 impl ScratchSpace {
     fn new(config: &ModelConfig) -> Self {
-        let d = config.d_model;
-        let ff = config.d_ff;
         ScratchSpace {
-            h: vec![0.0; d],
-            x: vec![0.0; d],
-            xq: vec![0.0; d],
-            q: vec![0.0; d],
-            k: vec![0.0; d],
-            v: vec![0.0; d],
-            qq: vec![0.0; d],
-            ctx: vec![0.0; d],
-            ctxq: vec![0.0; d],
-            attn_out: vec![0.0; d],
-            scores: Vec::new(),
-            weights: Vec::new(),
-            gate: vec![0.0; ff],
-            up: vec![0.0; ff],
-            act_q: vec![0.0; ff],
-            down: vec![0.0; d],
-            hn: vec![0.0; d],
+            hn: vec![0.0; config.d_model],
             logits: vec![0.0; config.vocab],
             quant: EncodeScratch::new(),
-            prefill: PrefillScratch::default(),
+            rows: RowScratch::default(),
         }
     }
 }
@@ -721,7 +679,7 @@ impl Model {
     /// vocabulary size.
     pub fn decode_step_into(&self, state: &mut DecodeState, token: u32, out: &mut [f32]) {
         assert_eq!(out.len(), self.config.vocab, "logits length mismatch");
-        self.decode_core(state, token, None, true);
+        self.prefill_core(state, &[token], LogitsOut::Last { keep_scratch: true }, None);
         out.copy_from_slice(&state.scratch.logits);
     }
 
@@ -778,12 +736,12 @@ impl Model {
     ///
     /// Each layer normalizes, quantizes and projects *all* chunk rows at
     /// once — one [`Matrix::matmul_t_into`] GEMM per projection instead of
-    /// one matvec per token — then runs multi-row causal attention against
+    /// one pass per token — then runs multi-row causal attention against
     /// the paged KV cache (row `r` attends to cached positions
-    /// `0..=pos0+r`, including the chunk rows appended just before). Every
-    /// per-position operation is the exact kernel of the single-token
-    /// [`Model::decode_step`] loop, so the KV caches and any later logits
-    /// are bit-identical to stepping the same tokens one at a time
+    /// `0..=pos0+r`, including the chunk rows appended just before). A
+    /// [`Model::decode_step`] is the one-row case of the same pass, so the
+    /// KV caches and any later logits are bit-identical to stepping the
+    /// same tokens one at a time
     /// (`tests/decode_golden.rs` pins this for chunk sizes 1/3/8/whole
     /// prompt across scheme families).
     ///
@@ -791,7 +749,7 @@ impl Model {
     ///
     /// Panics if `tokens` is empty or contains out-of-range ids.
     pub fn prefill_chunk(&self, state: &mut DecodeState, tokens: &[u32]) {
-        self.prefill_core(state, tokens, LogitsOut::None);
+        self.prefill_core(state, tokens, LogitsOut::None, None);
     }
 
     /// As [`Model::prefill_chunk`], additionally writing the next-token
@@ -804,7 +762,7 @@ impl Model {
     /// `out.len()` differs from the vocabulary size.
     pub fn prefill_chunk_into(&self, state: &mut DecodeState, tokens: &[u32], out: &mut [f32]) {
         assert_eq!(out.len(), self.config.vocab, "logits length mismatch");
-        self.prefill_core(state, tokens, LogitsOut::Last { keep_scratch: false });
+        self.prefill_core(state, tokens, LogitsOut::Last { keep_scratch: false }, None);
         out.copy_from_slice(&state.scratch.logits);
     }
 
@@ -822,7 +780,7 @@ impl Model {
     /// `out.len()` differs from the vocabulary size.
     pub fn catchup_chunk_into(&self, state: &mut DecodeState, tokens: &[u32], out: &mut [f32]) {
         assert_eq!(out.len(), self.config.vocab, "logits length mismatch");
-        self.prefill_core(state, tokens, LogitsOut::Last { keep_scratch: true });
+        self.prefill_core(state, tokens, LogitsOut::Last { keep_scratch: true }, None);
         out.copy_from_slice(&state.scratch.logits);
     }
 
@@ -846,7 +804,7 @@ impl Model {
     ///
     /// Panics if `tokens` is empty or contains out-of-range ids.
     pub fn verify_chunk_into(&self, state: &mut DecodeState, tokens: &[u32], out: &mut Matrix) {
-        self.prefill_core(state, tokens, LogitsOut::All(out));
+        self.prefill_core(state, tokens, LogitsOut::All(out), None);
     }
 
     /// As [`Model::decode_step`], optionally reporting activations to a
@@ -861,13 +819,28 @@ impl Model {
         token: u32,
         recorder: Option<&mut dyn Recorder>,
     ) -> Vec<f32> {
-        self.decode_core(state, token, recorder, true);
+        self.prefill_core(state, &[token], LogitsOut::Last { keep_scratch: true }, recorder);
         state.scratch.logits.clone()
     }
 
-    /// The allocation-free decode step: advances `state` by one token,
-    /// leaving the next-token logits in `state.scratch.logits` when
-    /// `compute_logits` is set.
+    /// The fused layer pass behind every forward entry point: advances
+    /// `state` by `tokens.len()` positions in one layer sweep,
+    /// materializing logits per the [`LogitsOut`] mode (the final
+    /// position's into `state.scratch.logits`, or every position's into a
+    /// caller matrix for the speculative verify pass). A decode step is
+    /// its one-row case; prompt chunks and verify passes are the `n`-row
+    /// cases. With a `recorder`, every row is reported at each [`Site`],
+    /// site by site in the per-layer order QKV input → query, key, value →
+    /// projection input → FC1 input → FC2 input.
+    ///
+    /// Bit-identity between one `n`-row pass and `n` one-row passes holds
+    /// operation by operation: norms and quantizers run per row with the
+    /// same kernels (the [`EncodeScratch`] carries capacity, never state,
+    /// across rows), projections go through [`Matrix::matmul_t_into`] whose
+    /// rows are independent dot products, and attention for row `r` scans
+    /// the same cache rows in the same order a one-row pass would at
+    /// position `pos0 + r` — K/V rows never depend on attention, so
+    /// appending the whole chunk before attending changes nothing.
     ///
     /// Ordering of every loop and reduction matches the seed implementation
     /// (kept in [`crate::reference`]) except inside [`opal_tensor::ops::dot`],
@@ -875,158 +848,13 @@ impl Model {
     /// bits below `f32` resolution; `tests/decode_golden.rs` pins the
     /// output bit-for-bit against logit patterns captured from the seed
     /// build and against the reference path over long decodes.
-    fn decode_core(
+    fn prefill_core(
         &self,
         state: &mut DecodeState,
-        token: u32,
+        tokens: &[u32],
+        logits_out: LogitsOut<'_>,
         mut recorder: Option<&mut dyn Recorder>,
-        compute_logits: bool,
     ) {
-        assert!((token as usize) < self.config.vocab, "token {token} out of range");
-        let dh = self.config.head_dim();
-        let inv_sqrt_dh = 1.0 / (dh as f32).sqrt();
-        let DecodeState { pos, kv, scratch: st } = state;
-        let pos = *pos;
-        let seq = pos + 1;
-
-        st.h.copy_from_slice(self.embedding.row(token as usize));
-        st.scores.resize(seq, 0.0);
-        st.weights.resize(seq, 0.0);
-
-        for (l, lw) in self.layers.iter().enumerate() {
-            // ---- attention ----
-            self.norm_into(&st.h, &lw.attn_gain, &lw.attn_bias, &mut st.x);
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(l, Site::QkvInput, &st.x);
-            }
-            self.quant_low_into(&st.x, &mut st.xq, &mut st.quant);
-            lw.wq_t.matvec_into(&st.xq, &mut st.q);
-            lw.wk_t.matvec_into(&st.xq, &mut st.k);
-            lw.wv_t.matvec_into(&st.xq, &mut st.v);
-            for head in 0..self.config.n_heads {
-                let s = head * dh;
-                ops::rope_row(&mut st.q[s..s + dh], pos, self.rope_theta);
-                ops::rope_row(&mut st.k[s..s + dh], pos, self.rope_theta);
-            }
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(l, Site::Query, &st.q);
-                rec.record(l, Site::Key, &st.k);
-                rec.record(l, Site::Value, &st.v);
-            }
-            self.quant_high_into(&st.q, &mut st.qq, &mut st.quant);
-            if kv.quantized() {
-                // Quantized KV: the page encoder *is* the cache-side
-                // quantizer, so the post-RoPE rows go in raw and the
-                // scheme's codes come back out on the walk.
-                kv.append_rows_quant(l, pos, 1, &st.k, &st.v, &mut st.quant);
-            } else {
-                let (k_row, v_row) = kv.rows_mut(l, pos, 1);
-                self.quant_high_into(&st.k, k_row, &mut st.quant);
-                self.quant_high_into(&st.v, v_row, &mut st.quant);
-            }
-
-            st.ctx.fill(0.0);
-            for head in 0..self.config.n_heads {
-                let s = head * dh;
-                let q_h = &st.qq[s..s + dh];
-                if kv.quantized() {
-                    for (score, k_row) in st.scores.iter_mut().zip(kv.k_qrows(l, seq)) {
-                        *score = k_row.dot_range(q_h, s) * inv_sqrt_dh;
-                    }
-                } else {
-                    for (score, k_row) in st.scores.iter_mut().zip(kv.k_rows(l, seq)) {
-                        *score = ops::dot(q_h, &k_row[s..s + dh]) * inv_sqrt_dh;
-                    }
-                }
-                match &self.log2_softmax {
-                    None => ops::softmax_into(&st.scores, &mut st.weights),
-                    Some(sm) => sm.probs_into(&st.scores, &mut st.weights),
-                }
-                if kv.quantized() {
-                    for (&w, v_row) in st.weights.iter().zip(kv.v_qrows(l, seq)) {
-                        if w == 0.0 {
-                            continue;
-                        }
-                        v_row.axpy_range(w, s, &mut st.ctx[s..s + dh]);
-                    }
-                } else {
-                    for (&w, v_row) in st.weights.iter().zip(kv.v_rows(l, seq)) {
-                        if w == 0.0 {
-                            continue;
-                        }
-                        for (c, &vv) in st.ctx[s..s + dh].iter_mut().zip(&v_row[s..s + dh]) {
-                            *c += w * vv;
-                        }
-                    }
-                }
-            }
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(l, Site::ProjInput, &st.ctx);
-            }
-            self.quant_high_into(&st.ctx, &mut st.ctxq, &mut st.quant);
-            lw.wo_t.matvec_into(&st.ctxq, &mut st.attn_out);
-            for (hh, oo) in st.h.iter_mut().zip(&st.attn_out) {
-                *hh += oo;
-            }
-
-            // ---- FFN ----
-            self.norm_into(&st.h, &lw.ffn_gain, &lw.ffn_bias, &mut st.x);
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(l, Site::Fc1Input, &st.x);
-            }
-            self.quant_low_into(&st.x, &mut st.xq, &mut st.quant);
-            // The activation always lands in `st.gate`.
-            match &lw.w_gate_t {
-                Some(gate) => {
-                    gate.matvec_into(&st.xq, &mut st.gate);
-                    lw.w_up_t.matvec_into(&st.xq, &mut st.up);
-                    for (g, &u) in st.gate.iter_mut().zip(&st.up) {
-                        *g = ops::silu(*g) * u;
-                    }
-                }
-                None => {
-                    lw.w_up_t.matvec_into(&st.xq, &mut st.gate);
-                    for g in st.gate.iter_mut() {
-                        *g = ops::relu(*g);
-                    }
-                }
-            }
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(l, Site::Fc2Input, &st.gate);
-            }
-            self.quant_high_into(&st.gate, &mut st.act_q, &mut st.quant);
-            lw.w_down_t.matvec_into(&st.act_q, &mut st.down);
-            for (hh, dd) in st.h.iter_mut().zip(&st.down) {
-                *hh += dd;
-            }
-        }
-
-        state.pos += 1;
-        if compute_logits {
-            let st = &mut state.scratch;
-            self.norm_into(&st.h, &self.final_norm_gain, &self.final_norm_bias, &mut st.hn);
-            self.unembedding.matvec_into(&st.hn, &mut st.logits);
-            for v in &mut st.logits {
-                *v *= self.logit_scale;
-            }
-        }
-    }
-
-    /// The fused multi-token prefill pass: advances `state` by
-    /// `tokens.len()` prompt positions in one layer sweep, materializing
-    /// logits per the [`LogitsOut`] mode (the final position's into
-    /// `state.scratch.logits`, or every position's into a caller matrix
-    /// for the speculative verify pass).
-    ///
-    /// Bit-identity with the token-by-token loop holds operation by
-    /// operation: norms and quantizers run per row with the same kernels
-    /// (the [`EncodeScratch`] carries capacity, never state, across rows),
-    /// projections go through [`Matrix::matmul_t_into`] whose rows equal
-    /// the per-token matvecs exactly, and attention for row `r` scans the
-    /// same cache rows in the same order the sequential path would at
-    /// position `pos0 + r` — K/V rows never depend on attention, so
-    /// appending the whole chunk before attending changes nothing.
-    fn prefill_core(&self, state: &mut DecodeState, tokens: &[u32], logits_out: LogitsOut<'_>) {
         let n = tokens.len();
         assert!(n > 0, "empty prefill chunk");
         for &t in tokens {
@@ -1040,45 +868,49 @@ impl Model {
         let pos0 = *pos;
         let seq = pos0 + n;
         let bs = kv.pool.block_size();
-        let ScratchSpace { prefill: pf, quant, hn, logits, .. } = st;
+        let ScratchSpace { rows: rs, quant, hn, logits } = st;
 
-        for m in [&mut pf.hs, &mut pf.xs, &mut pf.xqs, &mut pf.qs, &mut pf.ks, &mut pf.vs] {
+        for m in [&mut rs.hs, &mut rs.xs, &mut rs.xqs, &mut rs.qs, &mut rs.ks, &mut rs.vs] {
             ensure_shape(m, n, d);
         }
-        for m in [&mut pf.qqs, &mut pf.ctxs, &mut pf.ctxqs, &mut pf.proj] {
+        for m in [&mut rs.qqs, &mut rs.ctxs, &mut rs.ctxqs, &mut rs.proj] {
             ensure_shape(m, n, d);
         }
-        for m in [&mut pf.gates, &mut pf.ups, &mut pf.act_qs] {
+        for m in [&mut rs.gates, &mut rs.ups, &mut rs.act_qs] {
             ensure_shape(m, n, ff);
         }
-        for m in [&mut pf.scores, &mut pf.weights] {
+        for m in [&mut rs.scores, &mut rs.weights] {
             ensure_shape(m, n, seq);
         }
-        pf.lens.clear();
-        pf.lens.extend((0..n).map(|r| pos0 + r + 1));
+        rs.lens.clear();
+        rs.lens.extend((0..n).map(|r| pos0 + r + 1));
 
         for (r, &t) in tokens.iter().enumerate() {
-            pf.hs.row_mut(r).copy_from_slice(self.embedding.row(t as usize));
+            rs.hs.row_mut(r).copy_from_slice(self.embedding.row(t as usize));
         }
 
         for (l, lw) in self.layers.iter().enumerate() {
             // ---- attention ----
             for r in 0..n {
-                self.norm_into(pf.hs.row(r), &lw.attn_gain, &lw.attn_bias, pf.xs.row_mut(r));
+                self.norm_into(rs.hs.row(r), &lw.attn_gain, &lw.attn_bias, rs.xs.row_mut(r));
             }
-            self.quant_low_block(&pf.xs, &mut pf.xqs, quant);
-            pf.xqs.matmul_t_into(&lw.wq_t, &mut pf.qs);
-            pf.xqs.matmul_t_into(&lw.wk_t, &mut pf.ks);
-            pf.xqs.matmul_t_into(&lw.wv_t, &mut pf.vs);
+            record_rows(&mut recorder, l, Site::QkvInput, &rs.xs);
+            self.quant_low_block(&rs.xs, &mut rs.xqs, quant);
+            rs.xqs.matmul_t_into(&lw.wq_t, &mut rs.qs);
+            rs.xqs.matmul_t_into(&lw.wk_t, &mut rs.ks);
+            rs.xqs.matmul_t_into(&lw.wv_t, &mut rs.vs);
             for r in 0..n {
                 let p = pos0 + r;
                 for head in 0..self.config.n_heads {
                     let s = head * dh;
-                    ops::rope_row(&mut pf.qs.row_mut(r)[s..s + dh], p, self.rope_theta);
-                    ops::rope_row(&mut pf.ks.row_mut(r)[s..s + dh], p, self.rope_theta);
+                    ops::rope_row(&mut rs.qs.row_mut(r)[s..s + dh], p, self.rope_theta);
+                    ops::rope_row(&mut rs.ks.row_mut(r)[s..s + dh], p, self.rope_theta);
                 }
             }
-            self.quant_high_block(&pf.qs, &mut pf.qqs, quant);
+            record_rows(&mut recorder, l, Site::Query, &rs.qs);
+            record_rows(&mut recorder, l, Site::Key, &rs.ks);
+            record_rows(&mut recorder, l, Site::Value, &rs.vs);
+            self.quant_high_block(&rs.qs, &mut rs.qqs, quant);
             // Quantize the chunk's K/V rows straight into the paged cache,
             // one contiguous segment per block the chunk spans (the block
             // quantizer is row-wise, so the split is bit-invisible).
@@ -1087,8 +919,8 @@ impl Model {
                 let p = pos0 + off;
                 let rows = (bs - p % bs).min(n - off);
                 let (ks, vs) = (
-                    &pf.ks.as_slice()[off * d..(off + rows) * d],
-                    &pf.vs.as_slice()[off * d..(off + rows) * d],
+                    &rs.ks.as_slice()[off * d..(off + rows) * d],
+                    &rs.vs.as_slice()[off * d..(off + rows) * d],
                 );
                 if kv.quantized() {
                     kv.append_rows_quant(l, p, rows, ks, vs, quant);
@@ -1100,12 +932,12 @@ impl Model {
                 off += rows;
             }
 
-            pf.ctxs.as_mut_slice().fill(0.0);
+            rs.ctxs.as_mut_slice().fill(0.0);
             for head in 0..self.config.n_heads {
                 let s = head * dh;
-                for (r, &len) in pf.lens.iter().enumerate() {
-                    let q_h = &pf.qqs.row(r)[s..s + dh];
-                    let srow = &mut pf.scores.row_mut(r)[..len];
+                for (r, &len) in rs.lens.iter().enumerate() {
+                    let q_h = &rs.qqs.row(r)[s..s + dh];
+                    let srow = &mut rs.scores.row_mut(r)[..len];
                     if kv.quantized() {
                         for (score, k_row) in srow.iter_mut().zip(kv.k_qrows(l, len)) {
                             *score = k_row.dot_range(q_h, s) * inv_sqrt_dh;
@@ -1118,18 +950,18 @@ impl Model {
                 }
                 match &self.log2_softmax {
                     None => {
-                        for (r, &len) in pf.lens.iter().enumerate() {
+                        for (r, &len) in rs.lens.iter().enumerate() {
                             ops::softmax_into(
-                                &pf.scores.row(r)[..len],
-                                &mut pf.weights.row_mut(r)[..len],
+                                &rs.scores.row(r)[..len],
+                                &mut rs.weights.row_mut(r)[..len],
                             );
                         }
                     }
-                    Some(sm) => sm.probs_rows_into(&pf.scores, &pf.lens, &mut pf.weights),
+                    Some(sm) => sm.probs_rows_into(&rs.scores, &rs.lens, &mut rs.weights),
                 }
-                for (r, &len) in pf.lens.iter().enumerate() {
-                    let ctx = &mut pf.ctxs.row_mut(r)[s..s + dh];
-                    let weights = &pf.weights.row(r)[..len];
+                for (r, &len) in rs.lens.iter().enumerate() {
+                    let ctx = &mut rs.ctxs.row_mut(r)[s..s + dh];
+                    let weights = &rs.weights.row(r)[..len];
                     if kv.quantized() {
                         for (&w, v_row) in weights.iter().zip(kv.v_qrows(l, len)) {
                             if w == 0.0 {
@@ -1149,36 +981,39 @@ impl Model {
                     }
                 }
             }
-            self.quant_high_block(&pf.ctxs, &mut pf.ctxqs, quant);
-            pf.ctxqs.matmul_t_into(&lw.wo_t, &mut pf.proj);
-            for (hh, oo) in pf.hs.as_mut_slice().iter_mut().zip(pf.proj.as_slice()) {
+            record_rows(&mut recorder, l, Site::ProjInput, &rs.ctxs);
+            self.quant_high_block(&rs.ctxs, &mut rs.ctxqs, quant);
+            rs.ctxqs.matmul_t_into(&lw.wo_t, &mut rs.proj);
+            for (hh, oo) in rs.hs.as_mut_slice().iter_mut().zip(rs.proj.as_slice()) {
                 *hh += oo;
             }
 
             // ---- FFN ----
             for r in 0..n {
-                self.norm_into(pf.hs.row(r), &lw.ffn_gain, &lw.ffn_bias, pf.xs.row_mut(r));
+                self.norm_into(rs.hs.row(r), &lw.ffn_gain, &lw.ffn_bias, rs.xs.row_mut(r));
             }
-            self.quant_low_block(&pf.xs, &mut pf.xqs, quant);
-            // The activation always lands in `pf.gates`.
+            record_rows(&mut recorder, l, Site::Fc1Input, &rs.xs);
+            self.quant_low_block(&rs.xs, &mut rs.xqs, quant);
+            // The activation always lands in `rs.gates`.
             match &lw.w_gate_t {
                 Some(gate) => {
-                    pf.xqs.matmul_t_into(gate, &mut pf.gates);
-                    pf.xqs.matmul_t_into(&lw.w_up_t, &mut pf.ups);
-                    for (g, &u) in pf.gates.as_mut_slice().iter_mut().zip(pf.ups.as_slice()) {
+                    rs.xqs.matmul_t_into(gate, &mut rs.gates);
+                    rs.xqs.matmul_t_into(&lw.w_up_t, &mut rs.ups);
+                    for (g, &u) in rs.gates.as_mut_slice().iter_mut().zip(rs.ups.as_slice()) {
                         *g = ops::silu(*g) * u;
                     }
                 }
                 None => {
-                    pf.xqs.matmul_t_into(&lw.w_up_t, &mut pf.gates);
-                    for g in pf.gates.as_mut_slice() {
+                    rs.xqs.matmul_t_into(&lw.w_up_t, &mut rs.gates);
+                    for g in rs.gates.as_mut_slice() {
                         *g = ops::relu(*g);
                     }
                 }
             }
-            self.quant_high_block(&pf.gates, &mut pf.act_qs, quant);
-            pf.act_qs.matmul_t_into(&lw.w_down_t, &mut pf.proj);
-            for (hh, dd) in pf.hs.as_mut_slice().iter_mut().zip(pf.proj.as_slice()) {
+            record_rows(&mut recorder, l, Site::Fc2Input, &rs.gates);
+            self.quant_high_block(&rs.gates, &mut rs.act_qs, quant);
+            rs.act_qs.matmul_t_into(&lw.w_down_t, &mut rs.proj);
+            for (hh, dd) in rs.hs.as_mut_slice().iter_mut().zip(rs.proj.as_slice()) {
                 *hh += dd;
             }
         }
@@ -1187,7 +1022,7 @@ impl Model {
         match logits_out {
             LogitsOut::None => {}
             LogitsOut::Last { keep_scratch } => {
-                self.norm_into(pf.hs.row(n - 1), &self.final_norm_gain, &self.final_norm_bias, hn);
+                self.norm_into(rs.hs.row(n - 1), &self.final_norm_gain, &self.final_norm_bias, hn);
                 self.unembedding.matvec_into(hn, logits);
                 for v in logits.iter_mut() {
                     *v *= self.logit_scale;
@@ -1197,20 +1032,20 @@ impl Model {
                     // drop the chunk-sized buffers instead of carrying ~13
                     // `chunk × d_ff`/`chunk × seq` matrices through the
                     // sequence's whole decode lifetime (they regrow lazily
-                    // if another prompt chunk ever arrives). Draft
-                    // catch-up chunks set `keep_scratch` — they recur
-                    // every step.
-                    *pf = PrefillScratch::default();
+                    // if another prompt chunk ever arrives). Decode steps
+                    // and draft catch-up chunks set `keep_scratch` — they
+                    // recur every step.
+                    *rs = RowScratch::default();
                 }
             }
             LogitsOut::All(out) => {
-                // Per-row final norm + unembedding with the single-token
-                // kernels, so row `r` is bit-identical to the logits a
+                // Per-row final norm + unembedding with the `Last` kernels,
+                // so row `r` is bit-identical to the logits a
                 // `decode_step` at position `pos0 + r` would produce. The
                 // chunk scratch stays alive — see `verify_chunk_into`.
                 ensure_shape(out, n, self.config.vocab);
                 for r in 0..n {
-                    self.norm_into(pf.hs.row(r), &self.final_norm_gain, &self.final_norm_bias, hn);
+                    self.norm_into(rs.hs.row(r), &self.final_norm_gain, &self.final_norm_bias, hn);
                     let row = out.row_mut(r);
                     self.unembedding.matvec_into(hn, row);
                     for v in row.iter_mut() {
@@ -1266,23 +1101,9 @@ impl Model {
         out
     }
 
-    fn quant_low_into(&self, x: &[f32], out: &mut [f32], scratch: &mut EncodeScratch) {
-        match &self.low_q {
-            Some(q) => q.quantize_dequantize_scratch(x, out, scratch),
-            None => bf16_roundtrip_into(x, out),
-        }
-    }
-
-    fn quant_high_into(&self, x: &[f32], out: &mut [f32], scratch: &mut EncodeScratch) {
-        match &self.high_q {
-            Some(q) => q.quantize_dequantize_scratch(x, out, scratch),
-            None => bf16_roundtrip_into(x, out),
-        }
-    }
-
-    /// Low-bit quantization of every row of a chunk matrix through the
-    /// shared [`EncodeScratch`] — bit-identical to [`Model::quant_low_into`]
-    /// per row.
+    /// Low-bit quantization of every row of a pass matrix through the
+    /// shared [`EncodeScratch`] (each row is the quantizer's single-row
+    /// kernel).
     fn quant_low_block(&self, x: &Matrix, out: &mut Matrix, scratch: &mut EncodeScratch) {
         match &self.low_q {
             Some(q) => q.quantize_dequantize_block_scratch(
@@ -1295,7 +1116,7 @@ impl Model {
         }
     }
 
-    /// High-bit quantization of every row of a chunk matrix (see
+    /// High-bit quantization of every row of a pass matrix (see
     /// [`Model::quant_low_block`]).
     fn quant_high_block(&self, x: &Matrix, out: &mut Matrix, scratch: &mut EncodeScratch) {
         self.quant_high_flat(x.as_slice(), x.cols(), out.as_mut_slice(), scratch);
@@ -1303,7 +1124,7 @@ impl Model {
 
     /// High-bit quantization of `width`-wide rows of a flat row-major
     /// block, writing straight into a flat destination — used to quantize a
-    /// chunk's K/V rows directly into the contiguous cache.
+    /// pass's K/V rows directly into the contiguous cache.
     fn quant_high_flat(
         &self,
         x: &[f32],

@@ -9,10 +9,22 @@
 //!    perturbs even one ULP fails here.
 //! 2. **Reference cross-check**: the seed algorithm is preserved verbatim
 //!    in `opal_model::reference`; long decodes must agree bit-for-bit with
-//!    it at every position, for every quantization scheme family.
+//!    it at every position, for every quantization scheme family — both
+//!    the logits and every activation reported to a [`Recorder`].
 
-use opal_model::{Model, ModelConfig, QuantScheme};
+use opal_model::{Model, ModelConfig, QuantScheme, Recorder, Site};
 use opal_tensor::ops;
+
+/// Logs every recorded activation as `(layer, site, bit patterns)`, in
+/// call order.
+#[derive(Default)]
+struct EventLog(Vec<(usize, Site, Vec<u32>)>);
+
+impl Recorder for EventLog {
+    fn record(&mut self, layer: usize, site: Site, x: &[f32]) {
+        self.0.push((layer, site, x.iter().map(|v| v.to_bits()).collect()));
+    }
+}
 
 /// Decodes `steps` greedy tokens through the optimized path, returning the
 /// token stream and the bit patterns of logits 0/17/63 every 8th step.
@@ -123,7 +135,10 @@ fn owq_w4a16_matches_seed_golden() {
 
 /// The contiguous-KV scratch decoder must agree with the preserved seed
 /// algorithm (`Vec<Vec<f32>>` caches, per-token allocations) bit-for-bit at
-/// every position of a long decode, across scheme families.
+/// every position of a long decode, across scheme families — and report
+/// the same `(layer, site)` sequence with bit-identical activations to a
+/// [`Recorder`], the contract OWQ calibration and the Fig. 3/4 captures
+/// rely on.
 #[test]
 fn optimized_matches_reference_bit_for_bit_over_64_steps() {
     let schemes = [
@@ -137,10 +152,11 @@ fn optimized_matches_reference_bit_for_bit_over_64_steps() {
         let model = Model::new(ModelConfig::tiny(), scheme, 42).expect("valid scheme");
         let mut fast = model.begin_decode();
         let mut slow = model.begin_reference_decode();
+        let (mut fast_log, mut slow_log) = (EventLog::default(), EventLog::default());
         let mut token = 1u32;
         for step in 0..64 {
-            let a = model.decode_step(&mut fast, token);
-            let b = model.reference_decode_step(&mut slow, token);
+            let a = model.decode_step_recorded(&mut fast, token, Some(&mut fast_log));
+            let b = model.reference_decode_step_recorded(&mut slow, token, Some(&mut slow_log));
             assert_eq!(a.len(), b.len());
             for (i, (x, y)) in a.iter().zip(&b).enumerate() {
                 assert_eq!(
@@ -151,6 +167,13 @@ fn optimized_matches_reference_bit_for_bit_over_64_steps() {
             }
             token = ops::argmax(&a).unwrap_or(0) as u32;
         }
+        let per_step = 7 * model.config().n_layers;
+        assert_eq!(fast_log.0.len(), 64 * per_step, "{name}: one event per site per layer");
+        for (i, (f, s)) in fast_log.0.iter().zip(&slow_log.0).enumerate() {
+            assert_eq!((f.0, f.1), (s.0, s.1), "{name}: event {i} is at a different site");
+            assert!(f.2 == s.2, "{name}: event {i} ({:?} layer {}) diverged", f.1, f.0);
+        }
+        assert_eq!(fast_log.0.len(), slow_log.0.len(), "{name}: event counts differ");
     }
 }
 

@@ -159,11 +159,6 @@ pub enum StepMode {
     /// and benches to exercise the pool machinery deterministically (output
     /// is identical to every other mode either way).
     ForcePool,
-    /// Always fan out with per-step `std::thread::scope` workers — the
-    /// pre-pool dispatcher, kept as an A/B baseline so
-    /// `BENCH_decode.json` can price the spawn-per-step overhead the pool
-    /// removes.
-    ForceScoped,
 }
 
 /// Where speculative draft tokens come from (see [`SpecConfig`]).
@@ -1094,7 +1089,7 @@ fn ngram_propose(prefill: &[u32], tokens: &[u32], k_eff: usize, proposals: &mut 
 /// tripping on corrupt state, or an injected chaos fault — is caught here,
 /// on the thread that ran the sequence, and recorded in [`Active::failed`];
 /// the scheduler retires the sequence with `FinishReason::Failed` after the
-/// join. Every dispatch path (serial, scoped, pool) steps through this
+/// join. Both dispatch paths (serial and pool) step through this
 /// wrapper, so one poisoned sequence never takes down its chunk-mates, the
 /// worker pool, or the engine.
 ///
@@ -1809,23 +1804,6 @@ impl<'m> ServeEngine<'m> {
             for seq in &mut self.active {
                 advance_sequence_guarded(model, seq);
             }
-        } else if self.config.step_mode == StepMode::ForceScoped {
-            let mut chunks = split_by_work(&mut self.active, workers).into_iter();
-            let first = chunks.next();
-            std::thread::scope(|scope| {
-                for chunk in chunks.by_ref() {
-                    scope.spawn(move || {
-                        for seq in chunk {
-                            advance_sequence_guarded(model, seq);
-                        }
-                    });
-                }
-                // The caller's thread works the first chunk instead of
-                // idling at the join — one fewer spawn per step.
-                for seq in first.into_iter().flatten() {
-                    advance_sequence_guarded(model, seq);
-                }
-            });
         } else {
             // Pool size is fixed at first fan-out: `ForcePool` may use
             // every configured thread, but `Auto` never plans beyond
@@ -1837,7 +1815,7 @@ impl<'m> ServeEngine<'m> {
                     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
                     self.config.num_threads.min(cores) - 1
                 }
-                _ => self.config.num_threads - 1,
+                StepMode::ForcePool => self.config.num_threads - 1,
             };
             let pool = self.pool.get_or_insert_with(|| WorkerPool::new(size));
             // `available_parallelism` can in principle change after the
@@ -2575,7 +2553,7 @@ impl<'m> ServeEngine<'m> {
     fn planned_threads_for(&self, batch: usize, units: u64) -> usize {
         let cap = self.config.num_threads.min(batch);
         match self.config.step_mode {
-            StepMode::ForcePool | StepMode::ForceScoped => cap,
+            StepMode::ForcePool => cap,
             StepMode::Auto => {
                 let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
                 let cap = cap.min(cores);
@@ -2826,7 +2804,7 @@ mod tests {
         };
         // Force modes cap only by batch size.
         assert_eq!(plan(4, StepMode::ForcePool, 16), 4);
-        assert_eq!(plan(4, StepMode::ForceScoped, 2), 2);
+        assert_eq!(plan(4, StepMode::ForcePool, 2), 2);
         assert_eq!(plan(4, StepMode::ForcePool, 1), 1);
         // Auto never exceeds cores or the force-mode cap, and the tiny test
         // model never carries enough per-token work to fan out at all.

@@ -6,9 +6,9 @@
 //! replaces those per-step spawns with long-lived threads owned by the
 //! engine: workers park on a job channel, a step sends each one a chunk of
 //! the batch, and the dispatcher blocks until every chunk is reported done.
-//! Chunk assignment, intra-chunk order and post-join accounting are
-//! identical to the scoped dispatcher, so output is bit-for-bit unchanged
-//! for every thread count.
+//! Sequences never share mutable state, and post-join accounting runs in
+//! batch order exactly as on the serial path, so output is bit-for-bit
+//! unchanged for every thread count.
 //!
 //! Panic containment is layered. Sequences are stepped through
 //! `advance_sequence_guarded`, so a panic inside one sequence is caught
@@ -128,11 +128,11 @@ impl WorkerPool {
 
     /// Advances every sequence of every chunk by one token: chunks after
     /// the first go to the pool, the caller's thread works the first chunk
-    /// instead of idling at the join (mirroring the scoped dispatcher),
-    /// then the call blocks until all dispatched chunks complete. Chunks
-    /// that find no live worker — every pool thread died, or more chunks
-    /// arrived than live workers — run inline on the caller's thread, so
-    /// a decimated pool degrades to serial stepping instead of erroring.
+    /// instead of idling at the join, then the call blocks until all
+    /// dispatched chunks complete. Chunks that find no live worker — every
+    /// pool thread died, or more chunks arrived than live workers — run
+    /// inline on the caller's thread, so a decimated pool degrades to
+    /// serial stepping instead of erroring.
     ///
     /// This function **never returns or unwinds with a job in flight** —
     /// the soundness keystone. Acknowledgements are drained by a drop

@@ -24,7 +24,10 @@
 //! [`opal_alloc_probe::probe_lock`] because the counter is process-global.
 //!
 //! Strict assertions are release-only: debug builds run the engine's
-//! `debug_assertions` invariant auditor, which allocates on purpose.
+//! `debug_assertions` invariant auditor, which allocates on purpose. Run
+//! them with `-- --test-threads=1`: `probe_lock` serializes the tests, but
+//! with parallel tests libtest's own threads (reporting a finished test,
+//! spawning the next one) can allocate inside a measured window.
 
 use opal_alloc_probe::{allocations, probe_lock, CountingAlloc};
 use opal_model::{Model, ModelConfig, QuantScheme};
@@ -125,11 +128,6 @@ fn bf16_batch16_pool_steady_state_is_allocation_free() {
 }
 
 #[test]
-fn bf16_batch16_scoped_steady_state_is_allocation_free() {
-    assert_zero_alloc_decode(QuantScheme::bf16(), 16, StepMode::ForceScoped);
-}
-
-#[test]
 fn mxopal_batch1_pool_steady_state_is_allocation_free() {
     assert_zero_alloc_decode(QuantScheme::mxopal_w4a47(), 1, StepMode::ForcePool);
 }
@@ -140,11 +138,6 @@ fn mxopal_batch16_pool_steady_state_is_allocation_free() {
 }
 
 #[test]
-fn mxopal_batch16_scoped_steady_state_is_allocation_free() {
-    assert_zero_alloc_decode(QuantScheme::mxopal_w4a47(), 16, StepMode::ForceScoped);
-}
-
-#[test]
 fn kv_mxopal_batch1_pool_steady_state_is_allocation_free() {
     assert_zero_alloc_decode_kv(QuantScheme::bf16(), KvScheme::mxopal(), 1, StepMode::ForcePool);
 }
@@ -152,11 +145,6 @@ fn kv_mxopal_batch1_pool_steady_state_is_allocation_free() {
 #[test]
 fn kv_mxopal_batch16_pool_steady_state_is_allocation_free() {
     assert_zero_alloc_decode_kv(QuantScheme::bf16(), KvScheme::mxopal(), 16, StepMode::ForcePool);
-}
-
-#[test]
-fn kv_mxopal_batch16_scoped_steady_state_is_allocation_free() {
-    assert_zero_alloc_decode_kv(QuantScheme::bf16(), KvScheme::mxopal(), 16, StepMode::ForceScoped);
 }
 
 #[test]

@@ -14,7 +14,10 @@
 //! 4. **determinism** — wall-clock reads only in the declared clock shim;
 //!    no `HashMap`/`HashSet` in modules promising bit-identical output;
 //! 5. **lock order** — nested `.lock()` acquisitions must follow the
-//!    declared global ranking.
+//!    declared global ranking;
+//! 6. **stale policy** — every policy path must match a linted file and
+//!    every exact hot-function name a `fn` in its file, so deleting a hot
+//!    function cannot silently un-guard its entry.
 //!
 //! The pass is purely lexical: a small comment/string/raw-string-aware
 //! lexer produces a blanked *code view* (see [`lexer::SourceView`]), so no
@@ -30,10 +33,20 @@ pub mod policy;
 pub use lints::{Lint, Violation};
 pub use policy::Policy;
 
+/// The policy manifest's workspace-relative path (where stale-entry
+/// findings point).
+pub const POLICY_PATH: &str = "tools/tidy/tidy.policy";
+
 /// Lints one file's source text under `policy`. `rel_path` is the
 /// workspace-relative path used both for diagnostics and for policy
 /// matching.
 pub fn check_source(rel_path: &str, source: &str, policy: &Policy) -> Vec<Violation> {
+    check_file(rel_path, source, policy).0
+}
+
+/// [`check_source`], also returning the names of the functions the file
+/// defines (the input of the stale-policy check).
+fn check_file(rel_path: &str, source: &str, policy: &Policy) -> (Vec<Violation>, Vec<String>) {
     let view = lexer::SourceView::lex(source);
     let fns = lints::function_spans(&view);
     let tests = lints::test_spans(&view);
@@ -45,7 +58,7 @@ pub fn check_source(rel_path: &str, source: &str, policy: &Policy) -> Vec<Violat
     lints::lint_determinism(rel_path, &view, policy, &tests, &mut out);
     lints::lint_lock_order(rel_path, &view, policy, &fns, &tests, &mut out);
     out.sort_by_key(|v| v.line);
-    out
+    (out, fns.into_iter().map(|f| f.name).collect())
 }
 
 /// Collects every library source under `crates/*/src`, skipping `bin/`
@@ -80,16 +93,21 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Runs the whole pass over the workspace at `root`. Returns every
-/// violation plus the number of files checked.
+/// Runs the whole pass over the workspace at `root`: every file's lints,
+/// then the stale-policy check against the files and functions found.
+/// Returns every violation plus the number of files checked.
 pub fn run(root: &Path, policy: &Policy) -> std::io::Result<(Vec<Violation>, usize)> {
     let files = workspace_sources(root)?;
     let mut all = Vec::new();
+    let mut defined = Vec::new();
     for path in &files {
         let source = std::fs::read_to_string(path)?;
         let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
-        all.extend(check_source(&rel, &source, policy));
+        let (violations, fns) = check_file(&rel, &source, policy);
+        all.extend(violations);
+        defined.push((rel, fns));
     }
+    lints::lint_stale_policy(policy, &defined, &mut all);
     Ok((all, files.len()))
 }
 
@@ -239,6 +257,52 @@ mod fixtures {
         let unknown = "fn f(&self) {\n    let g = self.mystery.lock();\n}\n";
         let hits = check_source("crates/serve/src/engine.rs", unknown, &p);
         assert!(hits.iter().any(|v| v.message.contains("undeclared")), "{hits:?}");
+    }
+
+    #[test]
+    fn stale_policy_entries_are_violations() {
+        let p = Policy::parse(
+            "[hot_alloc]\n\
+             crates/model/src/infer.rs: prefill_core, decode_core, argmax, *_gone\n\
+             [unsafe_files]\n\
+             crates/serve/src/pool.rs\n\
+             [clock]\n\
+             crates/serve/src/gone.rs\n",
+        )
+        .expect("fixture policy parses");
+        let names = |fns: &[&str]| fns.iter().map(|f| f.to_string()).collect::<Vec<_>>();
+        let defined = vec![
+            ("crates/model/src/infer.rs".to_string(), names(&["prefill_core", "helper"])),
+            // `argmax` exists, but not in the file its entry names.
+            ("crates/tensor/src/ops.rs".to_string(), names(&["argmax", "decode_core"])),
+            ("crates/serve/src/pool.rs".to_string(), Vec::new()),
+        ];
+        let mut hits = Vec::new();
+        lints::lint_stale_policy(&p, &defined, &mut hits);
+        let found: Vec<(usize, &str)> = hits.iter().map(|v| (v.line, v.message.as_str())).collect();
+        assert_eq!(
+            found,
+            vec![
+                (6, "policy path `crates/serve/src/gone.rs` matches no linted file"),
+                (2, "hot function `decode_core` matches no `fn` in `crates/model/src/infer.rs`"),
+                (2, "hot function `argmax` matches no `fn` in `crates/model/src/infer.rs`"),
+            ],
+            "wildcards are exempt, exact names need a fn in their own file"
+        );
+        assert!(hits.iter().all(|v| v.lint == Lint::Policy && v.file == POLICY_PATH));
+
+        // Every entry live: quiet.
+        let defined = vec![
+            (
+                "crates/model/src/infer.rs".to_string(),
+                names(&["prefill_core", "decode_core", "argmax"]),
+            ),
+            ("crates/serve/src/pool.rs".to_string(), Vec::new()),
+            ("crates/serve/src/gone.rs".to_string(), Vec::new()),
+        ];
+        let mut hits = Vec::new();
+        lints::lint_stale_policy(&p, &defined, &mut hits);
+        assert!(hits.is_empty(), "{hits:?}");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The five lint families, all running over a [`SourceView`].
+//! The five source lint families, all running over a [`SourceView`], plus
+//! the stale-entry check of the policy itself.
 //!
 //! Escapes: a finding on line `L` is suppressed when line `L` (or a
 //! directly preceding run of comment-only lines) carries
@@ -23,6 +24,9 @@ pub enum Lint {
     Determinism,
     /// Nested lock acquisition violating the declared global order.
     LockOrder,
+    /// A policy entry that guards nothing: a path matching no linted file,
+    /// or an exact `[hot_alloc]` name matching no `fn` in its file.
+    Policy,
 }
 
 impl Lint {
@@ -34,6 +38,7 @@ impl Lint {
             Lint::Panic => "panic",
             Lint::Determinism => "determinism",
             Lint::LockOrder => "lock_order",
+            Lint::Policy => "policy",
         }
     }
 }
@@ -462,6 +467,41 @@ pub fn lint_lock_order(
                     _ => {}
                 }
                 col += 1;
+            }
+        }
+    }
+}
+
+/// Lint 6: stale policy entries. Every declared path must match a linted
+/// file, and every exact `[hot_alloc]` name (no `*`) must match a `fn` in
+/// a file its path matches — otherwise deleting or renaming the code
+/// silently un-guards the entry. `defined` lists each linted file with the
+/// names of the functions it defines. Findings point at the policy line.
+pub fn lint_stale_policy(
+    policy: &Policy,
+    defined: &[(String, Vec<String>)],
+    out: &mut Vec<Violation>,
+) {
+    let mut stale = |line: usize, message: String| {
+        out.push(Violation {
+            file: crate::POLICY_PATH.to_string(),
+            line,
+            lint: Lint::Policy,
+            message,
+        })
+    };
+    for (path, line) in &policy.paths {
+        if !defined.iter().any(|(file, _)| file.ends_with(path.as_str())) {
+            stale(*line, format!("policy path `{path}` matches no linted file"));
+        }
+    }
+    for hot in &policy.hot {
+        for name in hot.functions.iter().filter(|f| !f.contains('*')) {
+            let found = defined
+                .iter()
+                .any(|(file, fns)| file.ends_with(hot.path.as_str()) && fns.contains(name));
+            if !found {
+                stale(hot.line, format!("hot function `{name}` matches no `fn` in `{}`", hot.path));
             }
         }
     }

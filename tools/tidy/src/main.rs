@@ -11,7 +11,7 @@ fn main() -> ExitCode {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let root = root.canonicalize().unwrap_or(root);
 
-    let policy_path = root.join("tools/tidy/tidy.policy");
+    let policy_path = root.join(opal_tidy::POLICY_PATH);
     let policy_text = match std::fs::read_to_string(&policy_path) {
         Ok(t) => t,
         Err(e) => {

@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! [hot_alloc]
-//! crates/model/src/infer.rs: decode_core, *_into
+//! crates/model/src/infer.rs: prefill_core, *_into
 //!
 //! [unsafe_files]
 //! crates/serve/src/pool.rs
@@ -31,6 +31,10 @@
 //! `quant_*`). `locks` maps a lock-guard receiver identifier to its rank
 //! in the global acquisition order (lower rank must be taken first) and a
 //! human-readable class name.
+//!
+//! Every entry must still guard something: a path that matches no linted
+//! file, or an exact `hot_alloc` name (no `*`) that matches no `fn` in its
+//! file, is itself a violation (see [`crate::lints::lint_stale_policy`]).
 
 /// One hot-path declaration: a file and its allocation-free functions.
 #[derive(Debug)]
@@ -39,6 +43,8 @@ pub struct HotFile {
     pub path: String,
     /// Function-name patterns (exact, `prefix*`, or `*suffix`).
     pub functions: Vec<String>,
+    /// 1-based line of the entry in the policy file.
+    pub line: usize,
 }
 
 /// One declared lock class.
@@ -70,6 +76,9 @@ pub struct Policy {
     pub clock_files: Vec<String>,
     /// The global lock acquisition order.
     pub locks: Vec<LockClass>,
+    /// Every path the manifest names (all sections but `[locks]`) with its
+    /// 1-based policy line, for the stale-entry check.
+    pub paths: Vec<(String, usize)>,
 }
 
 impl Policy {
@@ -107,11 +116,19 @@ impl Policy {
                     if functions.is_empty() {
                         return Err(format!("policy line {lineno}: no functions declared"));
                     }
-                    policy.hot.push(HotFile { path: path.trim().to_string(), functions });
+                    let path = path.trim().to_string();
+                    policy.paths.push((path.clone(), lineno));
+                    policy.hot.push(HotFile { path, functions, line: lineno });
                 }
-                "unsafe_files" => policy.unsafe_files.push(line.to_string()),
-                "determinism" => policy.determinism.push(line.to_string()),
-                "clock" => policy.clock_files.push(line.to_string()),
+                "unsafe_files" | "determinism" | "clock" => {
+                    policy.paths.push((line.to_string(), lineno));
+                    let list = match section.as_str() {
+                        "unsafe_files" => &mut policy.unsafe_files,
+                        "determinism" => &mut policy.determinism,
+                        _ => &mut policy.clock_files,
+                    };
+                    list.push(line.to_string());
+                }
                 "locks" => {
                     let (recv, rest) = line.split_once(':').ok_or_else(|| {
                         format!("policy line {lineno}: expected `recv: rank name`")
